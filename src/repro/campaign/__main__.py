@@ -17,7 +17,8 @@ Examples::
 
 SIGTERM / SIGINT request a graceful drain: the campaign finishes its current
 chunk, checkpoints a ``drained`` manifest and exits 0 — re-running the same
-command resumes from the frontier.  The last stdout line is always the
+command resumes from the frontier.  A signal that arrives while the CLI is
+still starting up is held and applied as soon as the campaign exists.  The last stdout line is always the
 campaign result as one compact JSON document (machine-readable for the chaos
 harness and CI).
 
@@ -32,17 +33,60 @@ import json
 import signal
 import sys
 
-from repro.campaign.checkpoint import list_campaigns
-from repro.campaign.config import CampaignConfig
-from repro.campaign.orchestrator import (
+
+class _DrainSignals:
+    """SIGTERM / SIGINT request a graceful drain of the running campaign.
+
+    The handlers go in before the orchestrator's imports, which take about a
+    second, so a signal that arrives first is not fatal: it is remembered and
+    handed to the orchestrator by :meth:`attach` as soon as that exists.
+    """
+
+    def __init__(self) -> None:
+        self.orchestrator = None
+        self.pending: str | None = None
+        self.previous: dict = {}
+
+    def install(self) -> None:
+        if not self.previous:
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                self.previous[signum] = signal.signal(signum, self._handle)
+
+    def _handle(self, signum, frame) -> None:
+        reason = f"signal {signum}"
+        if self.orchestrator is None:
+            self.pending = reason
+        else:
+            self.orchestrator.request_drain(reason)
+
+    def attach(self, orchestrator) -> None:
+        self.orchestrator = orchestrator
+        if self.pending is not None:
+            orchestrator.request_drain(self.pending)
+
+    def restore(self) -> None:
+        for signum, handler in self.previous.items():
+            signal.signal(signum, handler)
+        self.previous.clear()
+        self.orchestrator = None
+        self.pending = None
+
+
+if __name__ == "__main__":
+    _early_signals = _DrainSignals()
+    _early_signals.install()
+
+from repro.campaign.checkpoint import list_campaigns  # noqa: E402
+from repro.campaign.config import CampaignConfig  # noqa: E402
+from repro.campaign.orchestrator import (  # noqa: E402
     COMPLETE,
     DRAINED,
     STOPPED_BUDGET,
     STOPPED_DEADLINE,
     CampaignOrchestrator,
 )
-from repro.campaign.spec import CampaignSpec, default_campaign
-from repro.experiments.store import ResultStore
+from repro.campaign.spec import CampaignSpec, default_campaign  # noqa: E402
+from repro.experiments.store import ResultStore  # noqa: E402
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -140,7 +184,16 @@ def _list(config: CampaignConfig) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, signals: _DrainSignals | None = None) -> int:
+    signals = signals or _DrainSignals()
+    signals.install()
+    try:
+        return _run(argv, signals)
+    finally:
+        signals.restore()
+
+
+def _run(argv: list[str] | None, signals: _DrainSignals) -> int:
     args = build_parser().parse_args(argv)
     config = _build_config(args)
     if not config.store_path:
@@ -166,13 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         orchestrator = CampaignOrchestrator(spec, config)
 
-    def _drain(signum, frame):
-        orchestrator.request_drain(f"signal {signum}")
-
-    previous = {
-        signal.SIGTERM: signal.signal(signal.SIGTERM, _drain),
-        signal.SIGINT: signal.signal(signal.SIGINT, _drain),
-    }
+    signals.attach(orchestrator)
     try:
         result = orchestrator.run()
     except Exception as exc:
@@ -184,9 +231,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
         return EXIT_FAILED
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
 
     print(json.dumps(result.to_dict(), sort_keys=True))
     if result.status in (COMPLETE, DRAINED):
@@ -197,4 +241,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(signals=_early_signals))

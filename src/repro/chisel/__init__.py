@@ -14,14 +14,13 @@ error classes catalogued in Table II of the paper.
 
 from repro.chisel.diagnostics import ChiselError, Diagnostic, Severity
 from repro.chisel.elaborator import elaborate
-from repro.chisel.lexer import Lexer, Token, TokenKind
+from repro.chisel.lexer import Token, TokenKind
 from repro.chisel.parser import Parser, parse_source
 
 __all__ = [
     "ChiselError",
     "Diagnostic",
     "Severity",
-    "Lexer",
     "Token",
     "TokenKind",
     "Parser",

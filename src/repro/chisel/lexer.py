@@ -2,12 +2,13 @@
 
 Produces a flat token stream; the parser is newline-sensitive (Scala statement
 separation), so NEWLINE tokens are emitted for line breaks that can terminate
-a statement.
+a statement.  One compiled master regex scans the source token by token.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.chisel.diagnostics import ChiselError, SourceLocation
@@ -96,10 +97,41 @@ _OPERATORS = [
     "^",
     "~",
     "!",
-    "_",
 ]
 
 _PUNCT = "(){}[].,:;@"
+
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+# Skips blanks and a line comment (which runs up to the newline), then takes
+# one alternative per token class, tried in this order; ``\Z`` (no group)
+# matches the end of the source.  The first character decides the class except
+# for '/' and ':', so block comments come before the operators and the
+# operators before the punctuation.  Numeric literals use ASCII digits only, as
+# in scalac, and a hex literal must carry a digit (checked after the match).
+# ``other`` takes any remaining character: a non-ASCII letter starting an
+# identifier, an unterminated string, or an illegal character.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?://[^\n]*)?(?:"
+    + "|".join(
+        (
+            r"(?P<ident>[A-Za-z_$][\w$]*)",
+            r"(?P<block_comment>/\*)",
+            "(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")",
+            "(?P<punct>[" + re.escape(_PUNCT) + "])",
+            r"(?P<newline>\n)",
+            r"(?P<number>0[xX][0-9a-fA-F_]*|[0-9][0-9_]*)",
+            r'(?P<string>"[^"\\]*(?:\\.[^"\\]*)*")',
+            r"(?P<other>.)",
+            r"\Z",
+        )
+    )
+    + ")",
+    re.DOTALL,
+)
+_HEX_DIGIT_RE = re.compile(r"[0-9a-fA-F]")
+_IDENT_TAIL_RE = re.compile(r"[\w$]*")
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -126,143 +158,89 @@ class Token:
         return f"Token({self.kind.value}, {self.text!r}, {self.location})"
 
 
-class Lexer:
-    """Tokenise Chisel/Scala source text."""
-
-    def __init__(self, source: str, file: str = "Main.scala"):
-        self.source = source
-        self.file = file
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column, self.file)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.source):
-            return ""
-        return self.source[index]
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
-
-    def tokenize(self) -> list[Token]:
-        tokens: list[Token] = []
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch == "\n":
-                loc = self._location()
-                self._advance()
-                if tokens and tokens[-1].kind is not TokenKind.NEWLINE:
-                    tokens.append(Token(TokenKind.NEWLINE, "\n", loc))
-                continue
-            if ch in " \t\r":
-                self._advance()
-                continue
-            if ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-                continue
-            if ch == "/" and self._peek(1) == "*":
-                self._lex_block_comment()
-                continue
-            if ch == '"':
-                tokens.append(self._lex_string())
-                continue
-            if ch.isdigit():
-                tokens.append(self._lex_number())
-                continue
-            if ch.isalpha() or ch == "_" or ch == "$":
-                tokens.append(self._lex_ident())
-                continue
-            op = self._match_operator()
-            if op is not None:
-                tokens.append(op)
-                continue
-            if ch in _PUNCT:
-                loc = self._location()
-                self._advance()
-                tokens.append(Token(TokenKind.PUNCT, ch, loc))
-                continue
-            raise ChiselError.at(
-                f"illegal character {ch!r} in source", self._location(), code="LEX"
-            )
-        tokens.append(Token(TokenKind.EOF, "", self._location()))
-        return tokens
-
-    def _lex_block_comment(self) -> None:
-        start = self._location()
-        self._advance(2)
-        while self.pos < len(self.source):
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance(2)
-                return
-            self._advance()
-        raise ChiselError.at("unterminated block comment", start, code="LEX")
-
-    def _lex_string(self) -> Token:
-        loc = self._location()
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise ChiselError.at("unterminated string literal", loc, code="LEX")
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                escaped = self._advance()
-                mapping = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                chars.append(mapping.get(escaped, escaped))
-                continue
-            chars.append(self._advance())
-        return Token(TokenKind.STRING, "".join(chars), loc)
-
-    def _lex_number(self) -> Token:
-        loc = self._location()
-        chars: list[str] = []
-        if self._peek() == "0" and self._peek(1) in "xX":
-            chars.append(self._advance())
-            chars.append(self._advance())
-            while self._peek() and (self._peek() in "0123456789abcdefABCDEF_"):
-                chars.append(self._advance())
-        else:
-            while self._peek() and (self._peek().isdigit() or self._peek() == "_"):
-                chars.append(self._advance())
-        return Token(TokenKind.INTEGER, "".join(chars), loc)
-
-    def _lex_ident(self) -> Token:
-        loc = self._location()
-        chars: list[str] = []
-        while self._peek() and (self._peek().isalnum() or self._peek() in "_$"):
-            chars.append(self._advance())
-        text = "".join(chars)
-        if text == "_":
-            return Token(TokenKind.OPERATOR, "_", loc)
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, loc)
-
-    def _match_operator(self) -> Token | None:
-        loc = self._location()
-        for op in _OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token(TokenKind.OPERATOR, op, loc)
-        return None
-
-
 def tokenize(source: str, file: str = "Main.scala") -> list[Token]:
-    """Convenience wrapper returning the token list for ``source``."""
-    return Lexer(source, file).tokenize()
+    """Tokenise Chisel/Scala ``source``; the last token is always ``EOF``.
+
+    Raises :class:`ChiselError` (code ``LEX``) on an illegal character, an
+    unterminated string or block comment, or a hex literal without digits.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
+    ident, keyword, operator, punct = (
+        TokenKind.IDENT,
+        TokenKind.KEYWORD,
+        TokenKind.OPERATOR,
+        TokenKind.PUNCT,
+    )
+    line = 1
+    line_start = 0  # offset of the first character of the current line
+    pos = 0
+    while True:
+        m = match(source, pos)
+        group = m.lastgroup
+        if group is None:
+            break
+        pos = m.start(group)
+        next_pos = m.end()
+        text = m.group(group)
+        loc = SourceLocation(line, pos - line_start + 1, file)
+        if group == "ident":
+            if text in KEYWORDS:
+                append(Token(keyword, text, loc))
+            elif text == "_":
+                append(Token(operator, text, loc))
+            else:
+                append(Token(ident, text, loc))
+        elif group == "punct":
+            append(Token(punct, text, loc))
+        elif group == "op":
+            append(Token(operator, text, loc))
+        elif group == "newline":
+            if tokens and tokens[-1].kind is not TokenKind.NEWLINE:
+                append(Token(TokenKind.NEWLINE, text, loc))
+            line += 1
+            line_start = next_pos
+        elif group == "number":
+            if text[1:2] in ("x", "X") and not _HEX_DIGIT_RE.search(text, 2):
+                raise ChiselError.at(
+                    f"hexadecimal literal {text!r} has no digits", loc, code="LEX"
+                )
+            append(Token(TokenKind.INTEGER, text, loc))
+        elif group == "block_comment":
+            close = source.find("*/", next_pos)
+            if close < 0:
+                raise ChiselError.at("unterminated block comment", loc, code="LEX")
+            next_pos = close + 2
+            newlines = source.count("\n", pos, close)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, close) + 1
+        elif group == "string":
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e.group(1), e.group(1)), body)
+            append(Token(TokenKind.STRING, body, loc))
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + text.rindex("\n") + 1
+        elif text.isalpha():
+            # An identifier that starts with a non-ASCII letter.
+            next_pos = _IDENT_TAIL_RE.match(source, next_pos).end()
+            text = source[pos:next_pos]
+            append(Token(keyword if text in KEYWORDS else ident, text, loc))
+        elif text == '"':
+            raise ChiselError.at("unterminated string literal", loc, code="LEX")
+        elif text.isdigit():
+            raise ChiselError.at(
+                f"illegal character {text!r} in source: numeric literals use ASCII digits",
+                loc,
+                code="LEX",
+            )
+        else:
+            raise ChiselError.at(f"illegal character {text!r} in source", loc, code="LEX")
+        pos = next_pos
+    eof = len(source)
+    append(Token(TokenKind.EOF, "", SourceLocation(line, eof - line_start + 1, file)))
+    return tokens

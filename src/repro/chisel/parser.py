@@ -14,8 +14,30 @@ from repro.chisel import ast
 from repro.chisel.diagnostics import ChiselError, SourceLocation
 from repro.chisel.lexer import Token, TokenKind, tokenize
 
-# Infix identifiers treated as binary operators (Scala method infix notation).
-_NAMED_INFIX = {"until", "to", "min", "max"}
+# Binary operators by precedence level, loosest first, all left-associative.
+# Level 0 holds the identifiers used as infix operators (Scala method infix
+# notation); their BinaryOp takes the left operand's location, every other
+# level's the operator token's.
+_NAMED_INFIX_LEVEL = 0
+_PRECEDENCE: tuple[tuple[str, ...], ...] = (
+    ("until", "to", "min", "max"),
+    ("||",),
+    ("&&",),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("===", "=/=", "==", "!="),
+    ("<", ">", "<=", ">="),
+    ("<<", ">>"),
+    ("##",),
+    ("+", "-", "+&", "-&", "+%", "-%"),
+    ("*", "/", "%"),
+)
+_BINARY_LEVELS: dict[tuple[TokenKind, str], int] = {
+    (TokenKind.IDENT if level == _NAMED_INFIX_LEVEL else TokenKind.OPERATOR, op): level
+    for level, ops in enumerate(_PRECEDENCE)
+    for op in ops
+}
 
 _UNARY_OPS = {"!", "~", "-"}
 
@@ -31,8 +53,10 @@ class Parser:
     # ------------------------------------------------------------------ utils
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # ``_advance`` never moves ``pos`` past the final EOF token.
+        if not offset:
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def _peek_skipping_newlines(self, offset: int = 0) -> Token:
         index = self.pos
@@ -422,103 +446,20 @@ class Parser:
     # ----------------------------------------------------------- expressions
 
     def parse_expression(self) -> ast.Expr:
-        return self._parse_named_infix()
+        return self._parse_binary(0)
 
-    def _parse_named_infix(self) -> ast.Expr:
-        left = self._parse_or()
-        while self._peek().is_ident(*_NAMED_INFIX):
-            op = self._advance().text
-            right = self._parse_or()
-            left = ast.BinaryOp(left.location, op, left, right)
-        return left
-
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._peek().is_op("||"):
-            loc = self._advance().location
-            right = self._parse_and()
-            left = ast.BinaryOp(loc, "||", left, right)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_bitor()
-        while self._peek().is_op("&&"):
-            loc = self._advance().location
-            right = self._parse_bitor()
-            left = ast.BinaryOp(loc, "&&", left, right)
-        return left
-
-    def _parse_bitor(self) -> ast.Expr:
-        left = self._parse_bitxor()
-        while self._peek().is_op("|"):
-            loc = self._advance().location
-            right = self._parse_bitxor()
-            left = ast.BinaryOp(loc, "|", left, right)
-        return left
-
-    def _parse_bitxor(self) -> ast.Expr:
-        left = self._parse_bitand()
-        while self._peek().is_op("^"):
-            loc = self._advance().location
-            right = self._parse_bitand()
-            left = ast.BinaryOp(loc, "^", left, right)
-        return left
-
-    def _parse_bitand(self) -> ast.Expr:
-        left = self._parse_equality()
-        while self._peek().is_op("&"):
-            loc = self._advance().location
-            right = self._parse_equality()
-            left = ast.BinaryOp(loc, "&", left, right)
-        return left
-
-    def _parse_equality(self) -> ast.Expr:
-        left = self._parse_relational()
-        while self._peek().is_op("===", "=/=", "==", "!="):
-            op = self._advance()
-            right = self._parse_relational()
-            left = ast.BinaryOp(op.location, op.text, left, right)
-        return left
-
-    def _parse_relational(self) -> ast.Expr:
-        left = self._parse_shift()
-        while self._peek().is_op("<", ">", "<=", ">="):
-            op = self._advance()
-            right = self._parse_shift()
-            left = ast.BinaryOp(op.location, op.text, left, right)
-        return left
-
-    def _parse_shift(self) -> ast.Expr:
-        left = self._parse_cat()
-        while self._peek().is_op("<<", ">>"):
-            op = self._advance()
-            right = self._parse_cat()
-            left = ast.BinaryOp(op.location, op.text, left, right)
-        return left
-
-    def _parse_cat(self) -> ast.Expr:
-        left = self._parse_additive()
-        while self._peek().is_op("##"):
-            op = self._advance()
-            right = self._parse_additive()
-            left = ast.BinaryOp(op.location, "##", left, right)
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self._peek().is_op("+", "-", "+&", "-&", "+%", "-%"):
-            op = self._advance()
-            right = self._parse_multiplicative()
-            left = ast.BinaryOp(op.location, op.text, left, right)
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing over :data:`_BINARY_LEVELS`, left-associative."""
         left = self._parse_unary()
-        while self._peek().is_op("*", "/", "%"):
-            op = self._advance()
-            right = self._parse_unary()
-            left = ast.BinaryOp(op.location, op.text, left, right)
-        return left
+        while True:
+            token = self.tokens[self.pos]
+            level = _BINARY_LEVELS.get((token.kind, token.text))
+            if level is None or level < min_level:
+                return left
+            self._advance()
+            right = self._parse_binary(level + 1)
+            loc = left.location if level == _NAMED_INFIX_LEVEL else token.location
+            left = ast.BinaryOp(loc, token.text, left, right)
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
@@ -647,7 +588,12 @@ class Parser:
         if token.kind is TokenKind.INTEGER:
             self._advance()
             text = token.text.replace("_", "")
-            value = int(text, 16) if text.lower().startswith("0x") else int(text)
+            try:
+                value = int(text, 16) if text.lower().startswith("0x") else int(text)
+            except ValueError:  # more digits than int() converts
+                raise self._error(
+                    f"integer literal {token.text[:20]!r}... is too long", token
+                ) from None
             return ast.IntLit(token.location, value)
         if token.kind is TokenKind.STRING:
             self._advance()

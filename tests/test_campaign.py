@@ -9,6 +9,7 @@ interactive preemption.  Crash (SIGKILL) resumes live in
 """
 
 import json
+import signal
 import threading
 
 import pytest
@@ -568,3 +569,29 @@ class TestCampaignCli:
         monkeypatch.delenv("REPRO_CAMPAIGN_STORE", raising=False)
         monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
         assert self.run_cli(["--quick"]) == 2
+
+
+class TestDrainSignals:
+    def test_signal_before_the_orchestrator_exists_drains_it_on_attach(self):
+        from repro.campaign.__main__ import _DrainSignals
+
+        class Orchestrator:
+            def __init__(self):
+                self.drains = []
+
+            def request_drain(self, reason):
+                self.drains.append(reason)
+
+        before = signal.getsignal(signal.SIGTERM)
+        signals = _DrainSignals()
+        signals.install()
+        try:
+            signal.raise_signal(signal.SIGTERM)
+            orchestrator = Orchestrator()
+            signals.attach(orchestrator)
+            assert orchestrator.drains == [f"signal {int(signal.SIGTERM)}"]
+            signal.raise_signal(signal.SIGINT)
+            assert orchestrator.drains[1:] == [f"signal {int(signal.SIGINT)}"]
+        finally:
+            signals.restore()
+        assert signal.getsignal(signal.SIGTERM) is before

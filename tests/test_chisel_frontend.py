@@ -1,11 +1,14 @@
 """Tests for the Chisel lexer and parser."""
 
+import itertools
+
 import pytest
 
 from repro.chisel import ast
-from repro.chisel.diagnostics import ChiselError
+from repro.chisel.diagnostics import ChiselError, SourceLocation
 from repro.chisel.lexer import TokenKind, tokenize
-from repro.chisel.parser import parse_source
+from repro.chisel.parser import _BINARY_LEVELS, Parser, parse_source
+from repro.toolchain.compiler import ChiselCompiler
 
 SIMPLE_MODULE = """
 import chisel3._
@@ -238,3 +241,85 @@ class TestParserExpressions:
     def test_indexing_expression(self):
         expr = self._expr("data(3, 0)")
         assert isinstance(expr, ast.MethodCall) or isinstance(expr, ast.Apply)
+
+
+# Binary operators by precedence level, loosest first (Scala's order, with
+# the identifiers used infix at the bottom).
+PRECEDENCE = [
+    ["until", "to", "min", "max"],
+    ["||"],
+    ["&&"],
+    ["|"],
+    ["^"],
+    ["&"],
+    ["===", "=/=", "==", "!="],
+    ["<", ">", "<=", ">="],
+    ["<<", ">>"],
+    ["##"],
+    ["+", "-", "+&", "-&", "+%", "-%"],
+    ["*", "/", "%"],
+]
+LEVEL = {op: level for level, ops in enumerate(PRECEDENCE) for op in ops}
+NAMED_INFIX = set(PRECEDENCE[0])
+
+
+class TestBinaryPrecedence:
+    def test_level_table(self):
+        assert {text: level for (_, text), level in _BINARY_LEVELS.items()} == LEVEL
+        for (kind, text), _ in _BINARY_LEVELS.items():
+            assert kind is (TokenKind.IDENT if text in NAMED_INFIX else TokenKind.OPERATOR)
+
+    @staticmethod
+    def expected_tree(op1: str, op2: str) -> ast.Expr:
+        """``a op1 b op2 c`` as the levels and left-associativity imply."""
+        columns = itertools.accumulate([1, 2, len(op1) + 1, 2, len(op2) + 1])
+        a, l1, b, l2, c = (SourceLocation(1, column) for column in columns)
+
+        def node(op, location, left, right):
+            at = left.location if op in NAMED_INFIX else location
+            return ast.BinaryOp(at, op, left, right)
+
+        a, b, c = ast.Ident(a, "a"), ast.Ident(b, "b"), ast.Ident(c, "c")
+        if LEVEL[op1] >= LEVEL[op2]:
+            return node(op2, l2, node(op1, l1, a, b), c)
+        return node(op1, l1, a, node(op2, l2, b, c))
+
+    @pytest.mark.parametrize("op1", list(LEVEL))
+    def test_every_ordered_pair(self, op1):
+        for op2 in LEVEL:
+            parser = Parser(tokenize(f"a {op1} b {op2} c"))
+            tree = parser.parse_expression()
+            assert parser._peek().kind is TokenKind.EOF
+            assert tree == self.expected_tree(op1, op2), (op1, op2)
+
+
+MALFORMED_LITERAL_MODULE = """
+class TopModule extends Module {
+  val io = IO(new Bundle { val out = Output(UInt(8.W)) })
+  io.out := %s
+}
+"""
+
+
+class TestMalformedNumericLiterals:
+    @pytest.mark.parametrize(
+        "literal, code",
+        [
+            ("0x.U", "LEX"),
+            ("0x_.U(8.W)", "LEX"),
+            ("0X.U", "LEX"),
+            ("².U", "LEX"),
+            ("１.U", "LEX"),
+            ("1" * 5000 + ".U", "PARSE"),
+        ],
+    )
+    def test_compile_returns_a_diagnostic(self, literal, code):
+        result = ChiselCompiler(cache_size=0).compile(MALFORMED_LITERAL_MODULE % literal)
+        assert not result.success
+        [diagnostic] = result.diagnostics
+        assert diagnostic.code == code
+        assert diagnostic.location == SourceLocation(4, 13)
+
+    def test_hex_with_separator_still_parses(self):
+        result = ChiselCompiler(cache_size=0).compile(MALFORMED_LITERAL_MODULE % "0x_f.U")
+        assert result.success, result.diagnostics
