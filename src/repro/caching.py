@@ -10,6 +10,12 @@ constructed with a ``name`` self-register in a process-wide registry;
 instances, e.g. every per-compiler result cache) and is what
 ``repro.service.telemetry`` snapshots surface.
 
+The stage caches after parsing key on :func:`structural_fingerprint`, a
+content hash of the parse tree or FIRRTL module that leaves out source
+positions.  It encodes each dataclass type from a plan resolved once per type
+(its name and field labels), so a candidate's cold compile pays for hashing
+its nodes, not for reflecting on every one of them.
+
 Cached values are shared between callers: treat them as immutable.
 """
 
@@ -20,7 +26,7 @@ import json
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from typing import Generic, TypeVar
 
 V = TypeVar("V")
@@ -60,43 +66,92 @@ def structural_fingerprint(node: object, skip_fields: tuple[str, ...] = ("locati
     coordinates of the first structurally-identical occurrence.  Error *text*,
     classes and ordering are unaffected.
 
+    The hashed byte stream is fixed (US is the 0x1F unit separator): a
+    dataclass instance is ``D``, its type name and US, then ``<field>=`` and
+    the value for each field not skipped, in declaration order, then ``;``; a
+    list or tuple is ``L``, its items and ``;``; a dict is ``M``, then each key,
+    ``:`` and value, then ``;``; any other value is ``v``, its ``repr`` and US.
+    The one exception is an ``int`` whose decimal form exceeds the
+    interpreter's int -> str digit limit: it is ``h``, its hex digits and US,
+    so a huge literal gets a key instead of a ``ValueError``.  Each type is
+    resolved once per ``skip_fields`` to an encoding plan (see
+    :func:`_plan_for`), so the walk does no per-node reflection.
+
     May raise ``RecursionError`` on pathologically deep trees; callers fall
     back to the uncached path in that case.
     """
-    digest = hashlib.sha256()
-    update = digest.update
-    _structural_update(node, update, skip_fields)
-    return digest.hexdigest()
+    plans = _plans.get(skip_fields)
+    if plans is None:
+        plans = _plans.setdefault(skip_fields, {})
+    parts: list[str] = []
+    _encode(node, parts.append, plans, skip_fields)
+    # One UTF-8 encode of the joined text equals encoding piece by piece.
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
-def _structural_update(value: object, update, skip_fields: tuple[str, ...]) -> None:
-    if is_dataclass(value) and not isinstance(value, type):
-        update(b"D")
-        update(type(value).__name__.encode())
-        update(b"\x1f")
-        for field_ in fields(value):
-            if field_.name in skip_fields:
-                continue
-            update(field_.name.encode())
-            update(b"=")
-            _structural_update(getattr(value, field_.name), update, skip_fields)
-        update(b";")
-    elif isinstance(value, (list, tuple)):
-        update(b"L")
-        for item in value:
-            _structural_update(item, update, skip_fields)
-        update(b";")
-    elif isinstance(value, dict):
-        update(b"M")
-        for key, item in value.items():
-            _structural_update(key, update, skip_fields)
-            update(b":")
-            _structural_update(item, update, skip_fields)
-        update(b";")
+# Encoding plans, one table per ``skip_fields`` value, keyed by exact type and
+# filled the first time a type is met: a ``(header, ((attr, label), ...))``
+# pair for a dataclass, else one of the three markers below.
+_plans: dict[tuple[str, ...], dict[type, object]] = {}
+_SEQUENCE = "sequence"
+_MAPPING = "mapping"
+_LEAF = "leaf"
+
+
+def _plan_for(cls: type, plans: dict[type, object], skip_fields: tuple[str, ...]) -> object:
+    if hasattr(cls, "__dataclass_fields__") and not issubclass(cls, type):
+        plan: object = (
+            f"D{cls.__name__}\x1f",
+            tuple(
+                (field_.name, f"{field_.name}=")
+                for field_ in fields(cls)
+                if field_.name not in skip_fields
+            ),
+        )
+    elif issubclass(cls, (list, tuple)):
+        plan = _SEQUENCE
+    elif issubclass(cls, dict):
+        plan = _MAPPING
     else:
-        update(b"v")
-        update(repr(value).encode())
-        update(b"\x1f")
+        plan = _LEAF
+    return plans.setdefault(cls, plan)
+
+
+def _encode(value: object, append, plans: dict[type, object], skip_fields: tuple[str, ...]) -> None:
+    cls = type(value)
+    if cls is str or value is None or cls is bool:
+        append(f"v{value!r}\x1f")
+        return
+    if cls is int:
+        try:
+            append(f"v{value!r}\x1f")
+        except ValueError:  # beyond the int -> str digit limit
+            append(f"h{value:x}\x1f")
+        return
+    plan = plans.get(cls)
+    if plan is None:
+        plan = _plan_for(cls, plans, skip_fields)
+    if plan is _SEQUENCE:
+        append("L")
+        for item in value:
+            _encode(item, append, plans, skip_fields)
+        append(";")
+    elif plan is _MAPPING:
+        append("M")
+        for key, item in value.items():
+            _encode(key, append, plans, skip_fields)
+            append(":")
+            _encode(item, append, plans, skip_fields)
+        append(";")
+    elif plan is _LEAF:
+        append(f"v{value!r}\x1f")
+    else:
+        header, field_plan = plan
+        append(header)
+        for attr, label in field_plan:
+            append(label)
+            _encode(getattr(value, attr), append, plans, skip_fields)
+        append(";")
 
 
 def get_or_compute(cache, key: str, compute, cache_exceptions: tuple = ()):

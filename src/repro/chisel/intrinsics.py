@@ -882,6 +882,16 @@ def _bool_member(target: bool, name: str, location: SourceLocation) -> object:
     raise ChiselError.at(f"value {name} is not a member of Boolean", location, code="A1")
 
 
+def _literal_text(value: int) -> str:
+    """``value`` in decimal, or abbreviated hex past the int -> str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        digits = f"{abs(value):x}"
+        sign = "-" if value < 0 else ""
+        return f"{sign}0x{digits[:8]}...{digits[-8:]} ({abs(value).bit_length()} bits)"
+
+
 def _int_member(target: int, name: str, args: list[object], location: SourceLocation) -> object:
     if name == "U":
         width = None
@@ -889,11 +899,13 @@ def _int_member(target: int, name: str, args: list[object], location: SourceLoca
             width = args[0].value
             if width < min_width_for(target):
                 raise ChiselError.at(
-                    f"literal {target} does not fit in {width} bits", location, code="A3"
+                    f"literal {_literal_text(target)} does not fit in {width} bits",
+                    location,
+                    code="A3",
                 )
         if target < 0:
             raise ChiselError.at(
-                f"UInt literal {target} is negative; use .S for signed literals",
+                f"UInt literal {_literal_text(target)} is negative; use .S for signed literals",
                 location,
                 code="A3",
             )
@@ -906,7 +918,9 @@ def _int_member(target: int, name: str, args: list[object], location: SourceLoca
     if name == "B":
         if target in (0, 1):
             return _bool_lit(bool(target))
-        raise ChiselError.at(f"cannot convert {target} to Bool with .B", location, code="A3")
+        raise ChiselError.at(
+            f"cannot convert {_literal_text(target)} to Bool with .B", location, code="A3"
+        )
     if name == "W":
         if target < 0:
             raise ChiselError.at("width must be non-negative", location, code="A3")

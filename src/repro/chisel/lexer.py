@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 
 from repro.chisel.diagnostics import ChiselError, SourceLocation
 
@@ -134,11 +133,32 @@ _IDENT_TAIL_RE = re.compile(r"[\w$]*")
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokenKind
-    text: str
-    location: SourceLocation
+    """One lexeme: its kind, its text (a string's unescaped body) and where it starts.
+
+    A ``__slots__`` class, not a frozen dataclass, because :func:`tokenize`
+    builds one per lexeme and this constructor costs well under half as
+    much.  Tokens are immutable by convention, as AST nodes are: never assign
+    to an attribute.  Equality and hashing compare ``(kind, text, location)``.
+    """
+
+    __slots__ = ("kind", "text", "location")
+
+    def __init__(self, kind: TokenKind, text: str, location: SourceLocation):
+        self.kind = kind
+        self.text = text
+        self.location = location
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.text, self.location) == (other.kind, other.text, other.location)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.text, self.location))
+
+    def __reduce__(self):
+        return Token, (self.kind, self.text, self.location)
 
     def is_op(self, *ops: str) -> bool:
         return self.kind is TokenKind.OPERATOR and self.text in ops

@@ -21,13 +21,36 @@ class Severity(enum.Enum):
     INFO = "info"
 
 
-@dataclass(frozen=True)
 class SourceLocation:
-    """A ``file:line:column`` location within a Chisel source string."""
+    """A ``file:line:column`` location within a Chisel source string.
 
-    line: int
-    column: int
-    file: str = "Main.scala"
+    A ``__slots__`` class, not a frozen dataclass, because the lexer builds
+    one per token and this constructor costs well under half as much.
+    Instances are immutable by convention, as AST nodes are: never assign to
+    an attribute.  Equality and hashing compare ``(line, column, file)``, and
+    ``repr`` has the dataclass form.
+    """
+
+    __slots__ = ("line", "column", "file")
+
+    def __init__(self, line: int, column: int, file: str = "Main.scala"):
+        self.line = line
+        self.column = column
+        self.file = file
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.line, self.column, self.file) == (other.line, other.column, other.file)
+
+    def __hash__(self) -> int:
+        return hash((self.line, self.column, self.file))
+
+    def __repr__(self) -> str:
+        return f"SourceLocation(line={self.line!r}, column={self.column!r}, file={self.file!r})"
+
+    def __reduce__(self):
+        return SourceLocation, (self.line, self.column, self.file)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"

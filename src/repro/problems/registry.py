@@ -28,17 +28,23 @@ class ProblemRegistry:
     """An ordered, id-addressable collection of benchmark problems."""
 
     problems: list[Problem] = field(default_factory=list)
+    # id -> problem, kept in step with ``problems`` by :meth:`add`, the only
+    # mutation; the first problem wins for an id given twice at construction.
+    _by_id: dict[str, Problem] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._by_id = {}
+        for problem in self.problems:
+            self._by_id.setdefault(problem.problem_id, problem)
 
     def add(self, problem: Problem) -> None:
-        if any(p.problem_id == problem.problem_id for p in self.problems):
+        if problem.problem_id in self._by_id:
             raise ValueError(f"duplicate problem id {problem.problem_id!r}")
         self.problems.append(problem)
+        self._by_id[problem.problem_id] = problem
 
     def by_id(self, problem_id: str) -> Problem:
-        for problem in self.problems:
-            if problem.problem_id == problem_id:
-                return problem
-        raise KeyError(problem_id)
+        return self._by_id[problem_id]
 
     def by_suite(self, suite: str) -> list[Problem]:
         return [p for p in self.problems if p.suite == suite]

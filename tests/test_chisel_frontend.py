@@ -1,12 +1,14 @@
 """Tests for the Chisel lexer and parser."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from repro.chisel import ast
-from repro.chisel.diagnostics import ChiselError, SourceLocation
-from repro.chisel.lexer import TokenKind, tokenize
+from repro.chisel.diagnostics import ChiselError, Diagnostic, SourceLocation
+from repro.chisel.lexer import Token, TokenKind, tokenize
 from repro.chisel.parser import _BINARY_LEVELS, Parser, parse_source
 from repro.toolchain.compiler import ChiselCompiler
 
@@ -63,6 +65,46 @@ class TestLexer:
     def test_compound_assignment_operator(self):
         tokens = tokenize("idx += 1")
         assert any(t.text == "+=" for t in tokens)
+
+
+class TestTokenAndSourceLocation:
+    """Both are ``__slots__`` classes that keep the frozen dataclasses' semantics."""
+
+    def test_source_location_equality_hash_str_repr(self):
+        loc = SourceLocation(3, 7, "A.scala")
+        assert loc == SourceLocation(line=3, column=7, file="A.scala")
+        assert loc != SourceLocation(3, 8, "A.scala")
+        assert loc.__eq__((3, 7, "A.scala")) is NotImplemented
+        assert hash(loc) == hash((3, 7, "A.scala"))
+        assert SourceLocation(1, 2) == SourceLocation(1, 2, "Main.scala")
+        assert str(loc) == "A.scala:3:7"
+        assert repr(loc) == "SourceLocation(line=3, column=7, file='A.scala')"
+        assert not hasattr(loc, "__dict__")
+
+    def test_token_equality_hash_repr_and_helpers(self):
+        loc = SourceLocation(1, 4)
+        token = Token(TokenKind.IDENT, "a", loc)
+        assert token == Token(TokenKind.IDENT, "a", SourceLocation(1, 4))
+        assert token != Token(TokenKind.IDENT, "a", SourceLocation(2, 4))
+        assert token != Token(TokenKind.KEYWORD, "a", loc)
+        assert hash(token) == hash((TokenKind.IDENT, "a", loc))
+        assert len({token, Token(TokenKind.IDENT, "a", loc)}) == 1
+        assert repr(token) == "Token(ident, 'a', Main.scala:1:4)"
+        assert token.is_ident() and token.is_ident("b", "a") and not token.is_ident("b")
+        assert Token(TokenKind.OPERATOR, ":=", loc).is_op("=", ":=")
+        assert Token(TokenKind.PUNCT, "(", loc).is_punct("(")
+        assert Token(TokenKind.KEYWORD, "val", loc).is_keyword("val")
+        assert not hasattr(token, "__dict__")
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_and_copy_round_trip(self, protocol):
+        # Fleet workers pickle diagnostics (and so their locations) back to
+        # the supervisor.
+        tokens = tokenize(SIMPLE_MODULE, "Top.scala")
+        assert pickle.loads(pickle.dumps(tokens, protocol)) == tokens
+        diagnostic = Diagnostic("boom", location=SourceLocation(2, 3, "Top.scala"), code="A1")
+        assert pickle.loads(pickle.dumps(diagnostic, protocol)) == diagnostic
+        assert copy.deepcopy(tokens) == tokens
 
 
 class TestParserStructure:
@@ -319,6 +361,25 @@ class TestMalformedNumericLiterals:
         [diagnostic] = result.diagnostics
         assert diagnostic.code == code
         assert diagnostic.location == SourceLocation(4, 13)
+
+    @pytest.mark.parametrize(
+        "member, message",
+        [
+            (".U(8.W)", "literal 0xffffffff...ffffffff (20000 bits) does not fit in 8 bits"),
+            (".B", "cannot convert 0xffffffff...ffffffff (20000 bits) to Bool with .B"),
+        ],
+    )
+    def test_literal_past_the_int_digit_limit_is_an_a3_diagnostic(self, member, message):
+        # 5000 hex digits is about 6000 decimal ones, past the 4300 that
+        # int -> str converts: neither the elaborate-cache key nor the A3
+        # message may go through the decimal form.
+        literal = "0x" + "f" * 5000
+        result = ChiselCompiler().compile(MALFORMED_LITERAL_MODULE % (literal + member))
+        assert not result.success
+        [diagnostic] = result.diagnostics
+        assert diagnostic.code == "A3"
+        assert diagnostic.message == message
+        assert diagnostic.location == SourceLocation(4, 13 + len(literal) + 1)
 
     def test_hex_with_separator_still_parses(self):
         result = ChiselCompiler(cache_size=0).compile(MALFORMED_LITERAL_MODULE % "0x_f.U")

@@ -5,7 +5,11 @@ import pytest
 
 from repro.problems.base import SUITES
 from repro.problems.mutations import SYNTAX_FAULTS, applicable_syntax_faults
-from repro.problems.registry import EXPECTED_PROBLEM_COUNT, build_default_registry
+from repro.problems.registry import (
+    EXPECTED_PROBLEM_COUNT,
+    ProblemRegistry,
+    build_default_registry,
+)
 from repro.toolchain.compiler import ChiselCompiler
 from repro.toolchain.simulator import Simulator
 
@@ -31,6 +35,26 @@ class TestRegistryStructure:
         assert REGISTRY.by_id("vector5").name.startswith("Vector5")
         with pytest.raises(KeyError):
             REGISTRY.by_id("does_not_exist")
+
+    def test_add_rejects_a_duplicate_id_and_keeps_the_index(self):
+        first, second = ALL_PROBLEMS[:2]
+        registry = ProblemRegistry()
+        registry.add(first)
+        with pytest.raises(ValueError, match=f"duplicate problem id {first.problem_id!r}"):
+            registry.add(first)
+        registry.add(second)
+        assert list(registry) == [first, second]
+        assert registry.by_id(first.problem_id) is first
+        assert registry.by_id(second.problem_id) is second
+        with pytest.raises(KeyError):
+            registry.by_id("does_not_exist")
+
+    def test_a_registry_built_from_a_list_is_indexed(self):
+        first, second = ALL_PROBLEMS[:2]
+        registry = ProblemRegistry([first, second])
+        assert registry.by_id(second.problem_id) is second
+        with pytest.raises(ValueError, match="duplicate problem id"):
+            registry.add(first)
 
     def test_every_problem_has_a_functional_fault(self):
         for problem in ALL_PROBLEMS:
